@@ -13,6 +13,11 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> benchmark harness build"
+# perfbench/ is its own workspace on top of the crates' public API; build
+# it here so an API change that breaks it fails locally.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke gate"
 # A tiny traced campaign must produce (a) a JSON-lines trace that
 # trace-check can parse with rt::json, and (b) a report with a telemetry
@@ -20,9 +25,8 @@ echo "==> telemetry smoke gate"
 # must be byte-identical replays across thread counts.
 SMOKE=target/telemetry-smoke
 mkdir -p "$SMOKE"
-# These runs use the staged fuse/solve pipeline (the fuzz default); the
-# timeout is the reorder-buffer watchdog — a deadlocked collector hangs
-# forever rather than finishing slowly, so a hard cap is the right gate.
+# The timeout caps a hung executor: a deadlock never finishes, so a hard
+# cap is the right gate.
 timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
     --threads 1 --json --trace "$SMOKE/seq.jsonl" > "$SMOKE/seq.json"
 timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
@@ -33,26 +37,6 @@ target/release/yinyang trace-check "$SMOKE/seq.jsonl" > /dev/null
 grep -q '"telemetry"' "$SMOKE/seq.json"
 grep -q '"stages"' "$SMOKE/seq.json"
 grep -q '"solver.sat.decisions"' "$SMOKE/seq.json"
-
-echo "==> pipeline differential gate"
-# The pipelined executor may only change job *timing*, never report or
-# trace bytes: the lockstep fork/join reference (--no-pipeline) must
-# reproduce the telemetry gate's pipelined outputs exactly, at both
-# thread counts. This is the executor's end-to-end differential — the
-# in-process version lives in crates/campaign/tests/pipeline_props.rs.
-PIPE=target/pipeline-smoke
-rm -rf "$PIPE"
-mkdir -p "$PIPE"
-timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
-    --threads 1 --no-pipeline --json --trace "$PIPE/lockstep1.jsonl" \
-    > "$PIPE/lockstep1.json"
-timeout 300 target/release/yinyang fuzz --iterations 2 --rounds 1 --seed 7 \
-    --threads 3 --no-pipeline --json --trace "$PIPE/lockstep3.jsonl" \
-    > "$PIPE/lockstep3.json"
-cmp "$SMOKE/seq.json" "$PIPE/lockstep1.json"
-cmp "$SMOKE/seq.jsonl" "$PIPE/lockstep1.jsonl"
-cmp "$SMOKE/par.json" "$PIPE/lockstep3.json"
-cmp "$SMOKE/par.jsonl" "$PIPE/lockstep3.jsonl"
 
 echo "==> forensics smoke gate"
 # A faulted campaign must yield at least one reproduction bundle whose
@@ -177,14 +161,6 @@ grep -q '^yinyang_build_info{version="' "$STATUS/metrics.txt"
 grep -q '^# TYPE span_solve histogram$' "$STATUS/metrics.txt"
 grep -q 'span_solve_bucket{le="+Inf"}' "$STATUS/metrics.txt"
 grep -q '^span_solve_count ' "$STATUS/metrics.txt"
-# The staged executor's own telemetry: queue/occupancy gauges and the
-# per-stage wall-time histograms (global-registry only — they never
-# appear in reports, which stay byte-identical to lockstep runs).
-grep -q '^# HELP pipeline_queue_depth ' "$STATUS/metrics.txt"
-grep -q '^# TYPE pipeline_queue_depth gauge$' "$STATUS/metrics.txt"
-grep -q '^pipeline_stage2_workers 3$' "$STATUS/metrics.txt"
-grep -q '^# TYPE span_pipeline_stage1 histogram$' "$STATUS/metrics.txt"
-grep -q 'span_pipeline_stage2_bucket{le="+Inf"}' "$STATUS/metrics.txt"
 kill "$FUZZ_PID" 2>/dev/null || true
 wait "$FUZZ_PID" 2>/dev/null || true
 # Exporters: valid outputs, byte-identical across reruns.
@@ -234,17 +210,16 @@ done
 cmp "$SMOKE/seq.json" "$FLEET/merged.json"
 cmp "$SMOKE/seq.jsonl" "$FLEET/merged.jsonl"
 # During the hold the workers are still scrapeable: the federated
-# /metrics must re-export their staged-executor gauges and per-stage
-# histograms as shard-labeled series with HELP metadata.
+# /metrics must re-export their span histograms as shard-labeled series
+# with HELP metadata.
 for _ in $(seq 1 100); do
     target/release/yinyang fetch "$ADDR" /metrics > "$FLEET/metrics-healthy.txt" || true
-    grep -q 'pipeline_queue_depth{shard="1"}' "$FLEET/metrics-healthy.txt" && break
+    grep -q 'span_solve_count{shard="1"}' "$FLEET/metrics-healthy.txt" && break
     sleep 0.1
 done
-grep -q '^# HELP pipeline_queue_depth ' "$FLEET/metrics-healthy.txt"
-grep -q 'pipeline_queue_depth{shard="0"}' "$FLEET/metrics-healthy.txt"
-grep -q 'pipeline_queue_depth{shard="1"}' "$FLEET/metrics-healthy.txt"
-grep -q 'span_pipeline_stage2_count{shard="0"}' "$FLEET/metrics-healthy.txt"
+grep -q '^# HELP span_solve ' "$FLEET/metrics-healthy.txt"
+grep -q 'span_solve_count{shard="0"}' "$FLEET/metrics-healthy.txt"
+grep -q 'span_solve_count{shard="1"}' "$FLEET/metrics-healthy.txt"
 kill "$HEALTHY_PID" 2>/dev/null || true
 wait "$HEALTHY_PID" 2>/dev/null || true
 # Degraded leg: stall the workers so the kill lands before their round-0
@@ -292,15 +267,5 @@ grep -q "shard 1" "$FLEET/stderr.txt"
 echo "==> bench report regeneration (fast mode)"
 YINYANG_BENCH_FAST=1 cargo bench --offline -p yinyang-bench --bench throughput
 test -s crates/bench/target/yinyang-bench/report.json
-
-echo "==> pipeline bench smoke (fast mode)"
-# Fast-mode sanity only — the committed BENCH_pipeline.json comes from a
-# full run of the command documented in crates/bench/benches/pipeline.rs.
-# Absolute output path: cargo runs benches from the package directory.
-YINYANG_BENCH_FAST=1 YINYANG_BENCH_PIPELINE_OUT="$PWD/$PIPE/BENCH_pipeline.json" \
-    cargo bench --offline -p yinyang-bench --bench pipeline
-test -s "$PIPE/BENCH_pipeline.json"
-grep -q '"mixed_fuse_solve"' "$PIPE/BENCH_pipeline.json"
-grep -q '"speedup"' "$PIPE/BENCH_pipeline.json"
 
 echo "CI green."

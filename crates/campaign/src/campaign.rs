@@ -20,16 +20,16 @@
 //! and the driver merges the deltas in job order.
 
 use crate::config::{fast_solver_config, Behavior, CampaignConfig, CampaignOutcome, RawFinding};
-use crate::fleet::{Execution, PartialJob, RoundPartial};
+use crate::fleet::{Execution, RoundPartial};
 use crate::solve_cache::{key_text, SolveCache};
 use crate::telemetry::CoverageRound;
 use std::collections::BTreeSet;
-use yinyang_core::{concat_fuzz, run_catching, Fused, Fuser, Oracle, SolverAnswer};
+use yinyang_core::{concat_fuzz, run_catching, Fuser, Oracle, SolverAnswer};
 use yinyang_coverage::{CoverageMap, ProbeKind};
 use yinyang_faults::{BugClass, BugStatus, FaultySolver, SolverId};
 use yinyang_rt::cache::CacheStatsView;
 use yinyang_rt::trace::{self, TraceEvent};
-use yinyang_rt::{metrics, MetricsSnapshot, Rng, StdRng, Stopwatch};
+use yinyang_rt::{impl_json_struct, metrics, MetricsSnapshot, Rng, StdRng, Stopwatch};
 use yinyang_seedgen::profile::{fig7_profile, generate_row};
 use yinyang_seedgen::Seed;
 
@@ -319,19 +319,37 @@ struct RoundPool {
 /// A unit of work: one fused test drawn from one pool, with its own RNG
 /// stream so the result is independent of scheduling.
 struct TestJob {
+    /// Flat job index, offset by the round's fleet base (see
+    /// [`JobRecord::index`]).
+    index: usize,
     pool: usize,
     rng_seed: u64,
 }
 
-/// Everything one job reports back to the driver.
-struct JobResult {
-    tests: usize,
-    unknowns: usize,
-    fusion_failures: usize,
-    finding: Option<RawFinding>,
-    events: Vec<TraceEvent>,
-    metrics: MetricsSnapshot,
+/// Everything one job reports back: the pool's result, the payload a
+/// fleet worker writes to its partial file as is, and what the supervisor
+/// reads back into the in-order merge loop.
+#[derive(Debug, Clone, Default)]
+pub struct JobRecord {
+    /// Flat job index. Fleet processes number jobs globally, cumulative
+    /// across rounds and both personas, because shard ownership is decided
+    /// on it; a single process numbers them within the round.
+    pub index: usize,
+    /// Fused tests executed (0 or 1).
+    pub tests: usize,
+    /// `unknown` answers seen.
+    pub unknowns: usize,
+    /// Fusion attempts without a fusible pair.
+    pub fusion_failures: usize,
+    /// The job's finding, if any.
+    pub finding: Option<RawFinding>,
+    /// The job's private metrics delta.
+    pub metrics: MetricsSnapshot,
+    /// The job's trace-event slice (empty unless capture was on).
+    pub events: Vec<TraceEvent>,
 }
+
+impl_json_struct!(JobRecord { index, tests, unknowns, fusion_failures, finding, metrics, events });
 
 /// SplitMix64's finalizer: decorrelates consecutive job indices into
 /// independent-looking RNG seeds (shared with the regression replayer,
@@ -399,62 +417,45 @@ fn run_round(
     let mut events = trace::take_events();
     let mut round_metrics = metrics::local_snapshot().delta(&driver_before);
 
-    let jobs: Vec<TestJob> = (0..pools.len() * config.iterations)
+    let job_count = pools.len() * config.iterations;
+    let base = match exec {
+        Execution::Local => 0,
+        Execution::Worker(worker) => worker.begin_round(job_count),
+        Execution::Supervisor(collector) => collector.begin_round(job_count),
+    };
+    let jobs: Vec<TestJob> = (0..job_count)
         .map(|index| TestJob {
+            index: base + index,
             pool: index / config.iterations,
             rng_seed: mix64(round_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
         })
         .collect();
-    let job_count = jobs.len();
     let rng_seeds: Vec<u64> = jobs.iter().map(|j| j.rng_seed).collect();
     let fuser = Fuser::new();
     let progress = yinyang_rt::serve::progress();
-    // Both executors return results in input order over any job slice, so
-    // `Local` and `Worker` share one dispatcher: the pipeline overlaps the
-    // cheap fuse stage with straggling solves, the lockstep fork/join
-    // (`--no-pipeline`) is the byte-identical differential reference.
-    let run_jobs = |jobs: Vec<TestJob>| -> Vec<JobResult> {
-        if config.pipeline {
-            let pipe = yinyang_rt::pipeline::PipelineConfig::for_threads(config.threads);
-            yinyang_rt::pipeline::pipeline_map(
-                &pipe,
-                jobs,
-                |job| fuse_test(&fuser, &pools, job),
-                |prep| {
-                    let result = solve_test(solver_id, round, fixed, &pools, prep, cache);
-                    // One relaxed atomic bump for the live `/status` job
-                    // counter — no locks, metrics, or spans, so the job's
-                    // telemetry bracket and the report bytes are untouched.
-                    progress.job_done();
-                    result
-                },
-            )
-        } else {
-            yinyang_rt::pool::parallel_map(config.threads, jobs, |job| {
-                let result = run_test(solver_id, round, fixed, &fuser, &pools, job, cache);
-                progress.job_done();
-                result
-            })
-        }
+    let run_jobs = |jobs: Vec<TestJob>| -> Vec<JobRecord> {
+        progress.add_jobs(jobs.len() as u64);
+        yinyang_rt::pool::parallel_map(config.threads, jobs, |job| {
+            let record = run_test(solver_id, round, fixed, &fuser, &pools, job, cache);
+            // One relaxed atomic bump for the live `/status` job counter —
+            // no locks, metrics, or spans, so the job's telemetry bracket
+            // and the report bytes are untouched.
+            progress.job_done();
+            record
+        })
     };
-    let (results, worker_coverage): (Vec<JobResult>, Option<CoverageMap>) = match exec {
-        Execution::Local => {
-            progress.add_jobs(job_count as u64);
-            (run_jobs(jobs), None)
-        }
+    let (records, worker_coverage) = match exec {
+        Execution::Local => (run_jobs(jobs), None),
         Execution::Worker(worker) => {
-            let base = worker.begin_round(job_count);
             // Shard ownership partitions the flat job list *before* the
-            // executor runs, so each shard pipelines only its own jobs and
-            // the merged fleet report stays byte-identical.
-            let (owned_indices, owned_jobs): (Vec<usize>, Vec<TestJob>) =
-                jobs.into_iter().enumerate().filter(|(index, _)| worker.owns(base + index)).unzip();
-            progress.add_jobs(owned_jobs.len() as u64);
+            // executor runs, so the merged fleet report stays
+            // byte-identical.
+            let owned = jobs.into_iter().filter(|job| worker.owns(job.index)).collect();
             // Bracket only the jobs: the duplicated seedgen above must
             // not reach the partial's coverage delta, or the supervisor
             // would count it once per shard.
             let coverage_before = yinyang_coverage::snapshot();
-            let results = run_jobs(owned_jobs);
+            let records = run_jobs(owned);
             let coverage =
                 CoverageMap::from_snapshot(&yinyang_coverage::snapshot().delta(&coverage_before));
             let partial = RoundPartial {
@@ -464,54 +465,30 @@ fn run_round(
                 shards: worker.shards(),
                 seed: config.rng_seed,
                 job_count,
-                jobs: owned_indices
-                    .iter()
-                    .zip(&results)
-                    .map(|(&index, r)| PartialJob {
-                        index: base + index,
-                        tests: r.tests,
-                        unknowns: r.unknowns,
-                        fusion_failures: r.fusion_failures,
-                        finding: r.finding.clone(),
-                        metrics: r.metrics.clone(),
-                        events: r.events.clone(),
-                    })
-                    .collect(),
+                jobs: records,
                 coverage,
             };
             worker.write_round_partial(&partial)?;
-            (results, None)
+            (partial.jobs, None)
         }
         Execution::Supervisor(collector) => {
-            let base = collector.begin_round(job_count);
             progress.add_jobs(job_count as u64);
-            let (partial_jobs, coverage) =
+            let (records, coverage) =
                 collector.collect_round(solver_id.name(), round, job_count, base)?;
-            let results = partial_jobs
-                .into_iter()
-                .map(|p| {
-                    progress.job_done();
-                    JobResult {
-                        tests: p.tests,
-                        unknowns: p.unknowns,
-                        fusion_failures: p.fusion_failures,
-                        finding: p.finding,
-                        events: p.events,
-                        metrics: p.metrics,
-                    }
-                })
-                .collect();
-            (results, Some(coverage))
+            for _ in &records {
+                progress.job_done();
+            }
+            (records, Some(coverage))
         }
     };
 
     let mut outcome = CampaignOutcome::default();
     let mut forensics = Vec::new();
-    // `parallel_map` preserves input order, so `job_index` here is the
-    // flat index the job's `rng_seed` was derived from. (In worker mode
-    // the enumeration is shard-local, so forensics — which need global
-    // indices — are left to the supervisor.)
-    for (job_index, r) in results.into_iter().enumerate() {
+    // Records arrive in job order; `job_index` is the round-local index
+    // the job's `rng_seed` was derived from. (Forensics are left to the
+    // supervisor in fleet mode, which owns the whole round.)
+    for r in records {
+        let job_index = r.index - base;
         outcome.stats.tests += r.tests;
         outcome.stats.unknowns += r.unknowns;
         outcome.stats.fusion_failures += r.fusion_failures;
@@ -532,140 +509,12 @@ fn run_round(
     Ok(RoundOutput { outcome, metrics: round_metrics, events, forensics, worker_coverage })
 }
 
-/// Stage-1 output of the staged executor: one job's fusion attempt, plus
-/// the private telemetry slice it produced. Carrying the stage's trace
-/// events and metrics delta across the inter-stage queue is what keeps
-/// the pipelined report byte-identical: [`solve_test`] concatenates them
-/// with its own in the fixed fuse-then-solve order, exactly what the
-/// one-thread composition produces, no matter which threads the stages
-/// actually ran on.
-struct FusedTest {
-    /// Pool index of the job (stage 2 needs the pool for solving and the
-    /// finding record).
-    pool: usize,
-    /// Seed-pool indices of the drawn pair, for the finding's ancestry.
-    s1: usize,
-    s2: usize,
-    tests: usize,
-    fusion_failures: usize,
-    /// The fused formula, or `None` when the pair wasn't fusible.
-    fused: Option<Fused>,
-    events: Vec<TraceEvent>,
-    metrics: MetricsSnapshot,
-}
-
-/// The cheap stage: draw the job's seed pair and fuse it. Consumes the
-/// job's entire RNG stream, so scheduling the expensive stage elsewhere
-/// can't perturb any draw.
-fn fuse_test(fuser: &Fuser, pools: &[RoundPool], job: TestJob) -> FusedTest {
-    let before = metrics::local_snapshot();
-    let pool = &pools[job.pool];
-    let mut rng = StdRng::seed_from_u64(job.rng_seed);
-    let s1 = rng.random_range(0..pool.seeds.len());
-    let s2 = rng.random_range(0..pool.seeds.len());
-    let fused = {
-        let _span = yinyang_rt::span!("fusion", benchmark = pool.benchmark, oracle = pool.oracle);
-        fuser.fuse(&mut rng, pool.oracle, &pool.seeds[s1].script, &pool.seeds[s2].script)
-    };
-    let (tests, fusion_failures, fused) = match fused {
-        Err(_) => (0, 1, None),
-        Ok(fused) => (1, 0, Some(fused)),
-    };
-    FusedTest {
-        pool: job.pool,
-        s1,
-        s2,
-        tests,
-        fusion_failures,
-        fused,
-        events: trace::take_events(),
-        metrics: metrics::local_snapshot().delta(&before),
-    }
-}
-
-/// The expensive stage: run the persona on the fused formula and check it
-/// against the construction oracle. The persona is rebuilt here even for
-/// failed fusions — the lockstep executor always constructs it, and the
-/// two paths must stay probe-for-probe identical for the coverage
-/// trajectory to match.
-fn solve_test(
-    solver_id: SolverId,
-    round: usize,
-    fixed: &BTreeSet<u32>,
-    pools: &[RoundPool],
-    prep: FusedTest,
-    cache: Option<&SolveCache>,
-) -> JobResult {
-    let before = metrics::local_snapshot();
-    let pool = &pools[prep.pool];
-    let mut solver = FaultySolver::trunk(solver_id);
-    solver.set_base_config(fast_solver_config());
-    for &id in fixed {
-        solver.apply_fix(id);
-    }
-    let mut result = JobResult {
-        tests: prep.tests,
-        unknowns: 0,
-        fusion_failures: prep.fusion_failures,
-        finding: None,
-        events: prep.events,
-        metrics: MetricsSnapshot::default(),
-    };
-    if let Some(fused) = prep.fused {
-        let answer = {
-            // The enclosing span stays *outside* the cached unit: its
-            // fields (benchmark) vary per call site and must not leak
-            // into cache keys or stored events.
-            let _span = yinyang_rt::span!("solve", benchmark = pool.benchmark);
-            match cache {
-                None => run_catching(&solver, &fused.script),
-                Some(cache) => {
-                    let fixed_ids: Vec<u32> = fixed.iter().copied().collect();
-                    let key = key_text(
-                        &yinyang_core::SolverUnderTest::name(&solver),
-                        &fixed_ids,
-                        &fast_solver_config(),
-                        "solve",
-                        &fused.script,
-                    );
-                    cache.solve(&solver, &key, &fused.script)
-                }
-            }
-        };
-        let behavior = {
-            let _span = yinyang_rt::span!("oracle");
-            classify(&solver, &fused.script, pool.oracle, &answer, &mut result)
-        };
-        if let Some(behavior) = behavior {
-            let bug_id = solver.triggered_bug(&fused.script).map(|b| b.id);
-            result.finding = Some(RawFinding {
-                solver: yinyang_core::SolverUnderTest::name(&solver),
-                bug_id,
-                behavior,
-                logic: fused.script.logic().unwrap_or("ALL").to_owned(),
-                benchmark: pool.benchmark.to_owned(),
-                round,
-                script: fused.script.to_string(),
-                seeds: (
-                    pool.seeds[prep.s1].script.to_string(),
-                    pool.seeds[prep.s2].script.to_string(),
-                ),
-                oracle: pool.oracle.to_string(),
-            });
-        }
-    }
-    result.events.extend(trace::take_events());
-    result.metrics = prep.metrics;
-    result.metrics.merge(&metrics::local_snapshot().delta(&before));
-    result
-}
-
-/// One fused test: pick a pair, fuse, solve, check against the oracle —
-/// [`fuse_test`] composed with [`solve_test`] on one thread, which is the
-/// lockstep executor's unit of work. The job brackets itself with
-/// thread-local metric snapshots and drains its own trace events, so its
-/// telemetry contribution is identical no matter which pool thread (or
-/// pipeline stage) runs it.
+/// One fused test: pick a pair, fuse, solve, check against the oracle.
+/// The job brackets itself with thread-local metric snapshots and drains
+/// its own trace events, so its telemetry contribution is identical no
+/// matter which pool thread runs it. The persona is built even when the
+/// pair isn't fusible: its construction hits coverage probes, and the
+/// coverage trajectory counts them for every job.
 fn run_test(
     solver_id: SolverId,
     round: usize,
@@ -674,8 +523,69 @@ fn run_test(
     pools: &[RoundPool],
     job: TestJob,
     cache: Option<&SolveCache>,
-) -> JobResult {
-    solve_test(solver_id, round, fixed, pools, fuse_test(fuser, pools, job), cache)
+) -> JobRecord {
+    let before = metrics::local_snapshot();
+    let pool = &pools[job.pool];
+    let mut rng = StdRng::seed_from_u64(job.rng_seed);
+    let s1 = &pool.seeds[rng.random_range(0..pool.seeds.len())];
+    let s2 = &pool.seeds[rng.random_range(0..pool.seeds.len())];
+    let fused = {
+        let _span = yinyang_rt::span!("fusion", benchmark = pool.benchmark, oracle = pool.oracle);
+        fuser.fuse(&mut rng, pool.oracle, &s1.script, &s2.script)
+    };
+    let mut solver = FaultySolver::trunk(solver_id);
+    solver.set_base_config(fast_solver_config());
+    for &id in fixed {
+        solver.apply_fix(id);
+    }
+    let mut record = JobRecord { index: job.index, ..JobRecord::default() };
+    match fused {
+        Err(_) => record.fusion_failures = 1,
+        Ok(fused) => {
+            record.tests = 1;
+            let answer = {
+                // The enclosing span stays *outside* the cached unit: its
+                // fields (benchmark) vary per call site and must not leak
+                // into cache keys or stored events.
+                let _span = yinyang_rt::span!("solve", benchmark = pool.benchmark);
+                match cache {
+                    None => run_catching(&solver, &fused.script),
+                    Some(cache) => {
+                        let fixed_ids: Vec<u32> = fixed.iter().copied().collect();
+                        let key = key_text(
+                            &yinyang_core::SolverUnderTest::name(&solver),
+                            &fixed_ids,
+                            &fast_solver_config(),
+                            "solve",
+                            &fused.script,
+                        );
+                        cache.solve(&solver, &key, &fused.script)
+                    }
+                }
+            };
+            let behavior = {
+                let _span = yinyang_rt::span!("oracle");
+                classify(&solver, &fused.script, pool.oracle, &answer, &mut record)
+            };
+            if let Some(behavior) = behavior {
+                let bug_id = solver.triggered_bug(&fused.script).map(|b| b.id);
+                record.finding = Some(RawFinding {
+                    solver: yinyang_core::SolverUnderTest::name(&solver),
+                    bug_id,
+                    behavior,
+                    logic: fused.script.logic().unwrap_or("ALL").to_owned(),
+                    benchmark: pool.benchmark.to_owned(),
+                    round,
+                    script: fused.script.to_string(),
+                    seeds: (s1.script.to_string(), s2.script.to_string()),
+                    oracle: pool.oracle.to_string(),
+                });
+            }
+        }
+    }
+    record.events = trace::take_events();
+    record.metrics = metrics::local_snapshot().delta(&before);
+    record
 }
 
 /// Compares the solver's answer to the construction oracle, mirroring the
@@ -685,12 +595,12 @@ fn classify(
     script: &yinyang_smtlib::Script,
     oracle: Oracle,
     answer: &SolverAnswer,
-    result: &mut JobResult,
+    record: &mut JobRecord,
 ) -> Option<Behavior> {
     match answer {
         SolverAnswer::Crash(msg) => Some(Behavior::Crash { message: msg.clone() }),
         SolverAnswer::Unknown => {
-            result.unknowns += 1;
+            record.unknowns += 1;
             // Performance/unknown-class bugs: spurious unknowns with an
             // identifiable trigger.
             match solver.triggered_bug(script) {

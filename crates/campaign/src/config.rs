@@ -36,12 +36,9 @@ pub struct CampaignConfig {
     /// Solve-cache entry bound (`--cache-capacity`); oldest entries are
     /// evicted first. Ignored unless [`CampaignConfig::cache`] is set.
     pub cache_capacity: usize,
-    /// Run rounds through the staged fuse/solve pipeline
-    /// ([`yinyang_rt::pipeline`]) instead of the lockstep fork/join
-    /// executor. Replay-safe either way: both executors produce
-    /// byte-identical reports, traces, and bundles for the same seed at
-    /// any thread count, so this only trades scheduling (`--no-pipeline`
-    /// keeps the lockstep path as the differential reference).
+    /// Ignored: every campaign runs on [`yinyang_rt::pool::parallel_map`].
+    /// Kept only because the benchmark harness still sets it; the field
+    /// goes away in the next benchmark-definition change.
     pub pipeline: bool,
 }
 
@@ -145,7 +142,7 @@ impl_json_struct!(CampaignConfig {
     coverage_trajectory,
     cache,
     cache_capacity,
-    pipeline,
+    ..
 });
 impl_json_struct!(RawFinding {
     solver,
@@ -248,6 +245,15 @@ mod tests {
     fn default_config_is_reasonable() {
         let c = CampaignConfig::default();
         assert!(c.scale >= 1 && c.iterations >= 1 && c.rounds >= 1 && c.threads >= 1);
+    }
+
+    #[test]
+    fn config_json_leaves_out_the_ignored_pipeline_field() {
+        let c = CampaignConfig { pipeline: false, threads: 3, ..CampaignConfig::default() };
+        let json = c.to_json();
+        assert!(json.get("pipeline").is_none(), "{}", json.compact());
+        let back = CampaignConfig::from_json(&json).unwrap();
+        assert_eq!((back.threads, back.pipeline), (3, true), "unlisted fields read as Default");
     }
 
     #[test]

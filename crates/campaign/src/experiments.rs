@@ -101,7 +101,7 @@ pub fn fig8_campaign_full(config: &CampaignConfig) -> Fig8Run {
 }
 
 /// [`fig8_campaign_full`] parameterized by an [`Execution`], so the same
-/// both-persona pipeline runs single-process, as a fleet shard, or as the
+/// both-persona campaign runs single-process, as a fleet shard, or as the
 /// merging fleet supervisor. The `exec` handle is shared across both
 /// persona campaigns — its global job counter must span them for shard
 /// ownership to agree between workers and supervisor.

@@ -32,7 +32,7 @@ pub fn pinned_config() -> crate::config::CampaignConfig {
         coverage_trajectory: true,
         cache: false,
         cache_capacity: 4096,
-        pipeline: true,
+        ..Default::default()
     }
 }
 

@@ -46,12 +46,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::config::{CampaignConfig, RawFinding};
+use crate::campaign::JobRecord;
+use crate::config::CampaignConfig;
 use yinyang_coverage::CoverageMap;
 use yinyang_rt::impl_json_struct;
 use yinyang_rt::json::{FromJson, Json, ToJson};
 use yinyang_rt::serve::{self, StatusServer};
-use yinyang_rt::trace::TraceEvent;
 use yinyang_rt::MetricsSnapshot;
 
 /// How long one side waits for the other's file (a worker for the
@@ -82,29 +82,6 @@ pub enum Execution<'a> {
     Supervisor(&'a Collector),
 }
 
-/// One job's result as serialized into a partial file: the
-/// scheduling-independent fields of the driver's internal job result,
-/// keyed by the job's global index.
-#[derive(Debug, Clone)]
-pub struct PartialJob {
-    /// Global flat job index (cumulative across rounds and personas).
-    pub index: usize,
-    /// Fused tests executed (0 or 1).
-    pub tests: usize,
-    /// `unknown` answers seen.
-    pub unknowns: usize,
-    /// Fusion attempts without a fusible pair.
-    pub fusion_failures: usize,
-    /// The job's finding, if any.
-    pub finding: Option<RawFinding>,
-    /// The job's private metrics delta.
-    pub metrics: MetricsSnapshot,
-    /// The job's trace-event slice (empty unless capture was on).
-    pub events: Vec<TraceEvent>,
-}
-
-impl_json_struct!(PartialJob { index, tests, unknowns, fusion_failures, finding, metrics, events });
-
 /// One worker's share of one (persona, round), as written to its
 /// partial file. The header fields let the collector reject partials
 /// from a mismatched run (wrong seed, wrong shard count, stale file).
@@ -122,8 +99,8 @@ pub struct RoundPartial {
     pub seed: u64,
     /// The round's total job count across all shards.
     pub job_count: usize,
-    /// This shard's jobs, in global index order.
-    pub jobs: Vec<PartialJob>,
+    /// This shard's job records, in global index order.
+    pub jobs: Vec<JobRecord>,
     /// Coverage delta of this shard's jobs (per-site hit counts, which
     /// are additive across processes).
     pub coverage: CoverageMap,
@@ -293,15 +270,15 @@ impl Collector {
     }
 
     /// Waits for all shards' partials of `(solver, round)`, validates
-    /// them, and splices the jobs back into global index order. Also
-    /// returns the round's merged worker coverage delta.
+    /// them, and splices the job records back into global index order.
+    /// Also returns the round's merged worker coverage delta.
     pub(crate) fn collect_round(
         &self,
         solver: &str,
         round: usize,
         job_count: usize,
         base_index: usize,
-    ) -> Result<(Vec<PartialJob>, CoverageMap), String> {
+    ) -> Result<(Vec<JobRecord>, CoverageMap), String> {
         let deadline = Instant::now() + WAIT_TIMEOUT;
         let mut partials: Vec<Option<RoundPartial>> = (0..self.shards).map(|_| None).collect();
         let mut death_seen: Vec<Option<Instant>> = vec![None; self.shards];
@@ -347,7 +324,7 @@ impl Collector {
             }
             std::thread::sleep(POLL);
         }
-        let mut slots: Vec<Option<PartialJob>> = (0..job_count).map(|_| None).collect();
+        let mut slots: Vec<Option<JobRecord>> = (0..job_count).map(|_| None).collect();
         let mut coverage = CoverageMap::default();
         for partial in partials.into_iter().flatten() {
             coverage.merge(&partial.coverage);
@@ -379,7 +356,7 @@ impl Collector {
                     format!("no shard produced job {} of {solver} round {round}", base_index + i)
                 })
             })
-            .collect::<Result<Vec<PartialJob>, String>>()?;
+            .collect::<Result<Vec<JobRecord>, String>>()?;
         self.worker_coverage.lock().expect("coverage lock").merge(&coverage);
         Ok((jobs, coverage))
     }
@@ -692,12 +669,6 @@ impl Fleet {
             if opts.capture_events {
                 cmd.arg("--capture-events");
             }
-            if !config.pipeline {
-                // Workers default to the staged executor like everyone
-                // else; forward the lockstep opt-out so a differential
-                // fleet run exercises the same reference path end to end.
-                cmd.arg("--no-pipeline");
-            }
             let mut child = cmd.spawn().map_err(|e| {
                 for mut earlier in children.drain(..) {
                     let _: &mut Child = &mut earlier;
@@ -917,6 +888,7 @@ fn scrape(shard: usize, state: &FleetState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yinyang_rt::trace::TraceEvent;
 
     #[test]
     fn partial_files_roundtrip_through_json() {
@@ -929,7 +901,7 @@ mod tests {
             shards: 2,
             seed: 7,
             job_count: 4,
-            jobs: vec![PartialJob {
+            jobs: vec![JobRecord {
                 index: 2,
                 tests: 1,
                 unknowns: 0,
@@ -973,7 +945,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("yinyang-fleet-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let job = |index: usize| PartialJob {
+        let job = |index: usize| JobRecord {
             index,
             tests: 1,
             unknowns: 0,

@@ -55,11 +55,6 @@ options:
   --threads N      worker threads (replay-safe at any count);
                    0 = auto-detect from the machine's available
                    parallelism                                  [default 1]
-  --no-pipeline    (fuzz, fleet, regress) run jobs on the lockstep
-                   fork/join executor instead of the staged fuse/solve
-                   pipeline; reports, --trace files, and bundles are
-                   byte-identical either way — this is the differential
-                   reference path
   --cache          (fuzz, regress) reuse solve results across identical
                    canonical scripts; reports stay byte-identical with the
                    cache on or off, hit/miss stats go to stderr
@@ -141,7 +136,6 @@ fn main() -> ExitCode {
             "--threads" => {
                 config.threads = parse_num(&args, &mut i);
             }
-            "--no-pipeline" => config.pipeline = false,
             "--cache" => config.cache = true,
             "--cache-capacity" => {
                 config.cache_capacity = parse_num(&args, &mut i);
@@ -202,6 +196,14 @@ fn main() -> ExitCode {
                 None => return ExitCode::FAILURE,
             },
             "--capture-events" => opts.capture_events = true,
+            // `--help` names a command, like `help`; every other `--` word
+            // must be a known option, so a typo can't silently run the
+            // defaults.
+            "--help" => positional.push(args[i].clone()),
+            other if other.starts_with("--") => {
+                eprintln!("unknown option {other}");
+                return ExitCode::FAILURE;
+            }
             other => positional.push(other.to_owned()),
         }
         i += 1;
@@ -322,7 +324,7 @@ fn dispatch(positional: &[String], config: &CampaignConfig, opts: &CliOpts) -> E
                 }
                 Ok((code, body)) => {
                     // An HTTP error status is a failed scrape: keep the
-                    // body off stdout so pipelines can't mistake an error
+                    // body off stdout so scripts can't mistake an error
                     // page for metrics, and exit non-zero.
                     eprintln!("fetch http://{addr}{path}: HTTP {code}");
                     eprint!("{body}");
@@ -572,16 +574,7 @@ fn run_fuzz(config: &CampaignConfig, opts: &CliOpts) -> ExitCode {
 fn emit_fuzz_run(run: experiments::Fig8Run, opts: &CliOpts) -> Result<(), ExitCode> {
     let cache_stats = run.cache_stats;
     let mut result = run.result;
-    // `pipeline.*` gauges are scheduling-dependent executor introspection
-    // (queue depth, stage occupancy) and only exist when the pipeline ran:
-    // they belong on `/metrics`, never in the byte-compared report, which
-    // must be identical with and without `--no-pipeline`.
-    result.telemetry.gauges.extend(
-        yinyang_rt::metrics::snapshot()
-            .gauges
-            .into_iter()
-            .filter(|(name, _)| !name.starts_with("pipeline.")),
-    );
+    result.telemetry.gauges.extend(yinyang_rt::metrics::snapshot().gauges);
     if let Some(path) = &opts.metrics_out {
         if let Err(e) = std::fs::write(path, run.metrics.to_json().pretty() + "\n") {
             eprintln!("cannot write metrics to {path}: {e}");
@@ -786,7 +779,6 @@ fn run_regress_cmd(dirs: &[String], config: &CampaignConfig, opts: &CliOpts) -> 
         rng_seed: config.rng_seed,
         cache: config.cache,
         cache_capacity: config.cache_capacity,
-        pipeline: config.pipeline,
     };
     match yinyang_campaign::run_regress_full(&roots, &regress_config) {
         Ok(run) => {

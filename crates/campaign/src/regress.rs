@@ -93,11 +93,6 @@ pub struct RegressConfig {
     /// Solve-cache entry bound (`--cache-capacity`). Ignored unless
     /// [`RegressConfig::cache`] is set.
     pub cache_capacity: usize,
-    /// Replay through the staged rebuild/solve pipeline
-    /// ([`yinyang_rt::pipeline`]) instead of the lockstep fork/join
-    /// executor; reports are byte-identical either way (`--no-pipeline`
-    /// keeps lockstep as the differential reference).
-    pub pipeline: bool,
 }
 
 impl Default for RegressConfig {
@@ -108,7 +103,6 @@ impl Default for RegressConfig {
             rng_seed: 0xD1CE,
             cache: false,
             cache_capacity: 4096,
-            pipeline: true,
         }
     }
 }
@@ -422,34 +416,22 @@ fn answer_str(answer: &SolverAnswer) -> String {
     }
 }
 
-/// Stage 1 of a replay: rebuild the target solver configuration. Returns
-/// the rebuilt solver (or the stale reason) plus the stage's private
-/// metrics delta, which [`solve_replay`] merges ahead of its own so the
-/// job's total contribution matches the unsplit replay byte for byte.
-fn rebuild_replay(
+/// Replays one unique test case against the target build: rebuild the
+/// finding's solver configuration, run both scripts, and classify the
+/// bundle. The job brackets its own metrics delta, so its contribution is
+/// the same on any pool thread.
+fn replay_one(
     bundle: &LoadedBundle,
     release: &str,
     rng_seed: u64,
-) -> (Result<FaultySolver, String>, yinyang_rt::MetricsSnapshot) {
+    cache: Option<&SolveCache>,
+) -> ReplayResult {
     let before = metrics::local_snapshot();
     // The stream is decorrelated per bundle so future randomized replay
     // modes (input shaking, budget jitter) stay scheduling-independent;
     // today's deterministic solver only draws the recorded seed.
     let _rng = StdRng::seed_from_u64(rng_seed);
-    let solver = rebuild_on_release(bundle, release);
-    (solver, metrics::local_snapshot().delta(&before))
-}
-
-/// Stage 2 of a replay: run both scripts on the rebuilt solver and
-/// classify the bundle.
-fn solve_replay(
-    bundle: &LoadedBundle,
-    solver: Result<FaultySolver, String>,
-    rebuild_metrics: yinyang_rt::MetricsSnapshot,
-    cache: Option<&SolveCache>,
-) -> ReplayResult {
-    let before = metrics::local_snapshot();
-    let mut result = match solver {
+    let mut result = match rebuild_on_release(bundle, release) {
         Ok(solver) => {
             let _span = yinyang_rt::span!("regress.solve", fingerprint = bundle.fingerprint);
             let solve = |script: &Script| match cache {
@@ -497,22 +479,8 @@ fn solve_replay(
         },
     };
     metrics::counter_add(&format!("regress.{}", result.status.as_str()), 1);
-    result.metrics = rebuild_metrics;
-    result.metrics.merge(&metrics::local_snapshot().delta(&before));
+    result.metrics = metrics::local_snapshot().delta(&before);
     result
-}
-
-/// Replays one unique test case against the target build —
-/// [`rebuild_replay`] composed with [`solve_replay`] on one thread, the
-/// lockstep executor's unit of work.
-fn replay_one(
-    bundle: &LoadedBundle,
-    release: &str,
-    rng_seed: u64,
-    cache: Option<&SolveCache>,
-) -> ReplayResult {
-    let (solver, rebuild_metrics) = rebuild_replay(bundle, release, rng_seed);
-    solve_replay(bundle, solver, rebuild_metrics, cache)
 }
 
 /// A regression replay's full output: the byte-stable report plus the
@@ -594,35 +562,13 @@ pub fn run_regress_full(roots: &[PathBuf], config: &RegressConfig) -> Result<Reg
         };
         bundle
     };
-    let results = if config.pipeline {
-        // Staged executor: the cheap rebuild stage feeds the expensive
-        // solve stage through the bounded pipeline; results come back in
-        // job order, so the merge below is identical to lockstep.
-        let pipe = yinyang_rt::pipeline::PipelineConfig::for_threads(config.threads);
-        yinyang_rt::pipeline::pipeline_map(
-            &pipe,
-            job_inputs,
-            |(rec, seed)| {
-                let (solver, rebuild_metrics) =
-                    rebuild_replay(bundle_of(rec), &config.release, seed);
-                (rec, solver, rebuild_metrics)
-            },
-            |(rec, solver, rebuild_metrics)| {
-                let result = solve_replay(bundle_of(rec), solver, rebuild_metrics, cache);
-                // Live `/status` job counter only — a relaxed atomic bump
-                // that leaves the job's telemetry bracket and report
-                // bytes untouched.
-                progress.job_done();
-                result
-            },
-        )
-    } else {
-        yinyang_rt::pool::parallel_map(config.threads, job_inputs, |(rec, seed)| {
-            let result = replay_one(bundle_of(rec), &config.release, seed, cache);
-            progress.job_done();
-            result
-        })
-    };
+    let results = yinyang_rt::pool::parallel_map(config.threads, job_inputs, |(rec, seed)| {
+        let result = replay_one(bundle_of(rec), &config.release, seed, cache);
+        // Live `/status` job counter only — a relaxed atomic bump that
+        // leaves the job's telemetry bracket and report bytes untouched.
+        progress.job_done();
+        result
+    });
     for r in &results {
         merged.merge(&r.metrics);
     }
@@ -893,6 +839,32 @@ mod tests {
             assert_eq!(e.status, "stale");
             assert!(!e.detail.is_empty(), "stale entries must say why");
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn over_deep_fused_script_classifies_stale() {
+        // A hostile bundle nested past the parser's limit must become a
+        // `stale` entry, not a stack overflow in the replay.
+        let root = std::env::temp_dir().join(format!("yy-regress-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let bundle = root.join("zirkon-deep-unknown-QF_LIA");
+        write_min_bundle(
+            &bundle,
+            &Behavior::SpuriousUnknown,
+            "sat",
+            "(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (> x 0))\n(check-sat)\n",
+        );
+        let depth = yinyang_smtlib::MAX_NESTING + 1;
+        let deep = format!(
+            "(set-logic QF_LIA)\n(declare-fun x () Int)\n(assert (> {}x{} 0))\n(check-sat)\n",
+            "(+ 1 ".repeat(depth),
+            ")".repeat(depth)
+        );
+        std::fs::write(bundle.join("fused.smt2"), deep).unwrap();
+        let report = run_regress(&[root.clone()], &RegressConfig::default()).unwrap();
+        assert_eq!(report.summary.stale, 1, "{:?}", report.entries);
+        assert!(report.entries[0].detail.contains("nesting"), "{}", report.entries[0].detail);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -41,6 +41,26 @@ fn solve_rejects_garbage() {
 }
 
 #[test]
+fn solve_rejects_hostile_nesting_with_a_parse_error() {
+    // 20,000 nested `not`s used to abort the process with a stack
+    // overflow; past the parser's nesting limit it is an ordinary error.
+    let dir = std::env::temp_dir().join("yinyang-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.smt2");
+    let depth = 20_000;
+    let text = format!(
+        "(declare-fun x () Bool)\n(assert {}x{})\n(check-sat)\n",
+        "(not ".repeat(depth),
+        ")".repeat(depth)
+    );
+    std::fs::write(&path, text).unwrap();
+    let out = yinyang().args(["solve", path.to_str().unwrap()]).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "must exit with an error, not abort: {:?}", out.status);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("parse error") && err.contains("nesting"), "stderr: {err}");
+}
+
+#[test]
 fn fuse_produces_a_parseable_script() {
     let dir = std::env::temp_dir().join("yinyang-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -63,6 +83,32 @@ fn fuse_produces_a_parseable_script() {
 fn unknown_subcommand_fails() {
     let out = yinyang().args(["frobnicate"]).output().expect("spawn");
     assert!(!out.status.success());
+}
+
+/// Runs a one-iteration `fuzz` with `extra` appended and asserts it fails
+/// up front, naming `flag` as an unknown option.
+fn assert_unknown_option(extra: &[&str], flag: &str) {
+    let out = yinyang()
+        .args(["fuzz", "--iterations", "1", "--rounds", "1"])
+        .args(extra)
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success(), "`fuzz {}` must exit non-zero", extra.join(" "));
+    assert!(out.stdout.is_empty(), "a rejected option must not run the campaign");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(&format!("unknown option {flag}")), "stderr: {err}");
+}
+
+#[test]
+fn fuzz_rejects_the_removed_no_pipeline_flag() {
+    assert_unknown_option(&["--no-pipeline"], "--no-pipeline");
+}
+
+#[test]
+fn fuzz_rejects_a_misspelled_threads_flag() {
+    // `--thread 2` used to fall through to the positionals and run on one
+    // thread without a word.
+    assert_unknown_option(&["--thread", "2"], "--thread");
 }
 
 #[test]
@@ -92,7 +138,6 @@ fn help_lists_every_subcommand_and_flag() {
         "--rounds",
         "--seed",
         "--threads",
-        "--no-pipeline",
         "--cache",
         "--cache-capacity",
         "--json",

@@ -548,11 +548,13 @@ impl<T: FromJson + Ord> FromJson for BTreeSet<T> {
 
 /// Implements [`ToJson`]/[`FromJson`] for a plain struct with named fields,
 /// producing the same object shape `#[derive(Serialize, Deserialize)]` would:
-/// one member per field, in declaration order. Missing members read as
-/// `null`, so `Option` fields tolerate absent keys.
+/// one member per listed field, in listed order. Missing members read as
+/// `null`, so `Option` fields tolerate absent keys. A trailing `..` leaves
+/// the unlisted fields out of the JSON; they read back as the struct's
+/// `Default` values.
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
+    (@impl $ty:ty { $($field:ident),+ } { $($rest:tt)* }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
                 $crate::json::Json::obj([
@@ -575,9 +577,16 @@ macro_rules! impl_json_struct {
                             e.message
                         ),
                     })?,)+
+                    $($rest)*
                 })
             }
         }
+    };
+    ($ty:ty { $($field:ident),+ , .. }) => {
+        $crate::impl_json_struct!(@impl $ty { $($field),+ } { ..Default::default() });
+    };
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::impl_json_struct!(@impl $ty { $($field),+ } {});
     };
 }
 

@@ -10,8 +10,7 @@
 //! | [`prop`] | `proptest` | property harness with greedy shrinking |
 //! | [`bench`] | `criterion` | wall-clock micro-bench runner (median/p95, JSON) |
 //! | [`json`] | `serde`/`serde_json` | hand-rolled JSON writer/reader |
-//! | [`pool`] | `crossbeam` | `std::thread` + `mpsc` worker pools |
-//! | [`pipeline`] | `rayon`-style stage graphs | bounded fuse/solve pipeline with a reorder buffer |
+//! | [`pool`] | `crossbeam` | order-preserving `std::thread` + `mpsc` fork/join |
 //! | [`metrics`] | `prometheus`-alikes | sharded counters/gauges/histograms |
 //! | [`trace`] | `tracing` | replay-safe spans + JSON-lines events |
 //! | [`cache`] | `moka`/`lru`-alikes | sharded bounded result cache with a collision guard |
@@ -31,7 +30,6 @@ pub mod cache;
 pub mod export;
 pub mod json;
 pub mod metrics;
-pub mod pipeline;
 pub mod pool;
 pub mod profile;
 pub mod prop;

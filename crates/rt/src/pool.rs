@@ -1,13 +1,10 @@
-//! Worker pools on `std::thread` + `mpsc`, replacing `crossbeam`.
+//! The workspace's one executor, on `std::thread` + `mpsc`, replacing
+//! `crossbeam`.
 //!
-//! Two entry points:
-//!
-//! * [`parallel_map`] — scoped fork/join over a work list: N workers pull
-//!   indexed items off a shared channel and push results back; output
-//!   order matches input order. This is what the campaign runner uses to
-//!   split a round's iterations across threads.
-//! * [`ThreadPool`] — a long-lived pool for `'static` jobs, kept for
-//!   future campaign sharding where work arrives incrementally.
+//! [`parallel_map`] is scoped fork/join over a work list: N workers pull
+//! indexed items off a shared channel and push results back; output order
+//! matches input order. Campaign rounds and regress replays both run on
+//! it; sharding across processes is the fleet's job, not this module's.
 
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -19,7 +16,8 @@ use std::sync::Mutex;
 /// uneven item costs balance automatically. With `threads <= 1` (or one
 /// item) the work runs inline on the caller's thread.
 ///
-/// Panics in `f` propagate to the caller after all workers stop.
+/// A panic in `f` propagates to the caller after all workers stop, with
+/// the worker's original payload, so its message survives the join.
 pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -66,66 +64,17 @@ where
             collected[i] = Some(r);
         }
         for h in handles {
-            h.join().expect("worker panicked");
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
         collected.into_iter().map(|r| r.expect("every index produced")).collect()
     })
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size pool of worker threads consuming boxed jobs from an
-/// `mpsc` channel. Dropping the pool joins all workers after the queue
-/// drains.
-pub struct ThreadPool {
-    sender: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawns `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (sender, receiver) = mpsc::channel::<Job>();
-        let receiver = std::sync::Arc::new(Mutex::new(receiver));
-        let workers = (0..threads)
-            .map(|i| {
-                let receiver = std::sync::Arc::clone(&receiver);
-                std::thread::Builder::new()
-                    .name(format!("yinyang-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = receiver.lock().expect("queue lock").recv();
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => return, // channel closed: shut down
-                        }
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        ThreadPool { sender: Some(sender), workers }
-    }
-
-    /// Enqueues a job; some worker will run it.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender.as_ref().expect("pool alive").send(Box::new(job)).expect("workers alive");
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        drop(self.sender.take()); // close the queue
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -153,18 +102,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_pool_runs_all_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(4);
-            for _ in 0..50 {
-                let counter = Arc::clone(&counter);
-                pool.execute(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
+    #[should_panic(expected = "boom")]
+    fn parallel_map_keeps_a_worker_panic_message() {
+        parallel_map(2, vec![1, 2, 3, 4], |i: i32| {
+            if i == 3 {
+                panic!("boom");
             }
-            // Drop joins after the queue drains.
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
+            i
+        });
     }
 }

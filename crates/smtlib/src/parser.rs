@@ -88,12 +88,37 @@ pub fn op_for_symbol(s: &str) -> Option<Op> {
     })
 }
 
+/// The deepest parenthesized nesting the parser accepts inside a term or
+/// an attribute value (sorts are atoms in this grammar, so they can't
+/// nest). Deeper input is a [`ParseError`], never a stack overflow: a
+/// script nested exactly this deep parses, type-checks, prints and solves
+/// on a thread spawned with the default stack, unoptimized builds
+/// included.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Open parentheses of the term or s-expression being parsed.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Self {
+        Parser { tokens, pos: 0, depth: 0 }
+    }
+
+    /// Enters one level of nesting, refusing to go past [`MAX_NESTING`].
+    /// Callers leave with `self.depth -= 1` on success only: any error
+    /// abandons the whole parse.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         let offset = self.tokens.get(self.pos).map_or(usize::MAX, |t| t.offset);
         Err(ParseError { message: message.into(), offset })
@@ -151,6 +176,7 @@ impl Parser {
         match self.next() {
             None => self.err("unexpected end of input in s-expression"),
             Some(TokenKind::LParen) => {
+                self.enter()?;
                 let mut parts = Vec::new();
                 while !matches!(self.peek(), Some(TokenKind::RParen)) {
                     if self.peek().is_none() {
@@ -159,6 +185,7 @@ impl Parser {
                     parts.push(self.skip_sexpr()?);
                 }
                 self.expect_rparen()?;
+                self.depth -= 1;
                 Ok(format!("({})", parts.join(" ")))
             }
             Some(TokenKind::RParen) => {
@@ -200,6 +227,7 @@ impl Parser {
                 self.err("unexpected ')' in term")
             }
             Some(TokenKind::LParen) => {
+                self.enter()?;
                 let head = match self.peek() {
                     Some(TokenKind::Symbol(s)) => s.clone(),
                     other => return self.err(format!("expected operator, found {other:?}")),
@@ -301,6 +329,7 @@ impl Parser {
                     },
                 };
                 self.expect_rparen()?;
+                self.depth -= 1;
                 Ok(term)
             }
         }
@@ -423,7 +452,7 @@ fn fold_const_real_div(op: Op, args: Vec<Term>) -> Term {
 /// ```
 pub fn parse_script(input: &str) -> Result<Script, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let mut script = Script::new();
     while p.peek().is_some() {
         script.push(p.parse_command()?);
@@ -438,7 +467,7 @@ pub fn parse_script(input: &str) -> Result<Script, ParseError> {
 /// Returns a [`ParseError`] if the input is not exactly one well-formed term.
 pub fn parse_term(input: &str) -> Result<Term, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let t = p.parse_term()?;
     if p.peek().is_some() {
         return p.err("trailing input after term");

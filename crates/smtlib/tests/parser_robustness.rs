@@ -2,7 +2,8 @@
 //! parses or returns a structured error.
 
 use yinyang_rt::{props, Rng, StdRng};
-use yinyang_smtlib::{parse_script, parse_term, tokenize};
+use yinyang_smtlib::{check_script, parse_script, parse_term, tokenize, MAX_NESTING};
+use yinyang_solver::{SatResult, SmtSolver};
 
 /// Arbitrary printable text (plus some control/unicode characters) up to
 /// `max` characters.
@@ -84,6 +85,42 @@ props! {
     }
 }
 
+/// `(assert (not (not … x)))` with `depth` nested `not`s.
+fn nested_not(depth: usize) -> String {
+    format!(
+        "(declare-fun x () Bool)\n(assert {}x{})\n(check-sat)\n",
+        "(not ".repeat(depth),
+        ")".repeat(depth)
+    )
+}
+
+/// `(assert (> (+ 1 (+ 1 … x)) 0))`, nested `depth` deep counting the `>`.
+fn nested_plus(depth: usize) -> String {
+    let adds = depth - 1;
+    format!(
+        "(declare-fun x () Int)\n(assert (> {}x{} 0))\n(check-sat)\n",
+        "(+ 1 ".repeat(adds),
+        ")".repeat(adds)
+    )
+}
+
+#[test]
+fn scripts_at_the_nesting_limit_work_on_a_default_stack_thread() {
+    // `thread::spawn` gives the default stack, the smallest a campaign
+    // worker runs on. An overflow here aborts the test binary.
+    std::thread::spawn(|| {
+        for text in [nested_not(MAX_NESTING), nested_plus(MAX_NESTING)] {
+            let script = parse_script(&text).expect("a script at the limit parses");
+            check_script(&script).expect("and type-checks");
+            let printed = script.to_string();
+            assert_eq!(parse_script(&printed).expect("and reparses once printed"), script);
+            assert_eq!(SmtSolver::new().solve_script(&script).result, SatResult::Sat);
+        }
+    })
+    .join()
+    .expect("at-limit scripts run on a default-stack thread");
+}
+
 #[test]
 fn deeply_nested_input_is_handled() {
     // 300 levels of nesting: must error or parse without stack overflow.
@@ -91,6 +128,18 @@ fn deeply_nested_input_is_handled() {
     let _ = parse_term(&deep);
     let unbalanced = "(".repeat(500);
     assert!(parse_script(&unbalanced).is_err());
+    // Past the nesting limit, however deep, is a parse error.
+    for text in [
+        nested_not(MAX_NESTING + 1),
+        nested_plus(MAX_NESTING + 1),
+        nested_not(50_000),
+        nested_plus(20_000),
+    ] {
+        let err = parse_script(&text).expect_err("too deep to parse");
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+    let deep_attribute = format!("(set-info :note {}x{})", "(".repeat(50_000), ")".repeat(50_000));
+    assert!(parse_script(&deep_attribute).is_err());
 }
 
 #[test]
