@@ -62,7 +62,10 @@ for d in "$FORENSICS/bundles"/*/; do
     if [ "$reduced" -lt "$fused" ]; then SHRUNK=1; fi
 done
 test "$SHRUNK" -eq 1
-target/release/yinyang profile "$FORENSICS/trace.jsonl" | grep -q "span tree"
+# Redirect, then grep: without pipefail a pipeline takes grep's status,
+# so a yinyang that prints and then fails would pass.
+target/release/yinyang profile "$FORENSICS/trace.jsonl" > "$FORENSICS/profile.txt"
+grep -q "span tree" "$FORENSICS/profile.txt"
 target/release/yinyang experiments-md --check
 
 echo "==> regress smoke gate"
@@ -78,12 +81,14 @@ target/release/yinyang regress "$FORENSICS/bundles" --json --threads 4 \
     > "$REGRESS/par.json"
 cmp "$REGRESS/seq.json" "$REGRESS/par.json"
 target/release/yinyang regress "$FORENSICS/bundles" --json --threads 1 \
-    | cmp - "$REGRESS/seq.json"
+    > "$REGRESS/again.json"
+cmp "$REGRESS/again.json" "$REGRESS/seq.json"
 grep -q '"fixed": 0' "$REGRESS/seq.json"
 grep -q '"flaky": 0' "$REGRESS/seq.json"
 grep -q '"stale": 0' "$REGRESS/seq.json"
 grep -q '"still-broken"' "$REGRESS/seq.json"
-target/release/yinyang regress "$FORENSICS/bundles" | grep -q "still-broken"
+target/release/yinyang regress "$FORENSICS/bundles" > "$REGRESS/report.md"
+grep -q "still-broken" "$REGRESS/report.md"
 
 echo "==> solve-cache smoke gate"
 # The cache may only change speed, never bytes: a cache-on campaign must

@@ -590,6 +590,7 @@ fn fleet_respond(
 // ---------------------------------------------------------------------------
 
 /// Options for [`Fleet::launch`].
+#[derive(Clone)]
 pub struct FleetOptions {
     /// Worker process count.
     pub shards: usize,
@@ -602,6 +603,13 @@ pub struct FleetOptions {
     /// Supervisor `--status-addr` for the federated view (`None`: no
     /// server, workers still run headless servers for scraping).
     pub status_addr: Option<String>,
+}
+
+impl Default for FleetOptions {
+    /// Two shards in a per-run temp directory, no event capture, no server.
+    fn default() -> Self {
+        FleetOptions { shards: 2, partial_dir: None, capture_events: false, status_addr: None }
+    }
 }
 
 /// Handle to a launched fleet: worker processes, their stderr readers,
